@@ -37,7 +37,8 @@ impl PathRule {
 /// Files exempt from a rule that otherwise applies everywhere.
 ///
 /// - `queue-router`: the queue implementation itself (and its tests), the
-///   frontend (which owns the router), the ring microbenchmark, and the
+///   frontend (which owns the router), the ring microbenchmarks (the
+///   criterion one and the wall-clock benchmark's ring probes), and the
 ///   FIFO property test drive rings directly on purpose.  The notifier's
 ///   unit tests stage completions on a bare queue to exercise the
 ///   suppression decision in isolation.
@@ -49,10 +50,9 @@ impl PathRule {
 ///   decision, DESIGN.md #18), and the FIFO property test which rings
 ///   doorbells by hand on purpose.
 /// - `staging-buffer`: `pcie::dma` owns the one sanctioned bounce
-///   (`gather_copy`'s fixed 16 KiB block), and the backend's cold paths
-///   (`Recv`, the small/feature-off RMA arms) legitimately stage — the
-///   rule guards the zero-copy RMA path (DESIGN.md #19) against staging
-///   vecs creeping back in.
+///   (`gather_copy`'s fixed 16 KiB block), and the backend's `Recv` arm
+///   still stages a message-sized vec — the rule guards the single-copy
+///   RMA path (DESIGN.md #19) against staging vecs creeping back in.
 pub const EXEMPTIONS: &[PathRule] = &[
     PathRule {
         rule: "queue-router",
@@ -60,6 +60,7 @@ pub const EXEMPTIONS: &[PathRule] = &[
         contains: &["core/src/frontend"],
         suffixes: &[
             "crates/bench/benches/micro_components.rs",
+            "perfbench/src/probes.rs",
             "crates/core/tests/mq_fifo.rs",
             "core/src/backend/notify.rs",
         ],
@@ -144,12 +145,18 @@ mod tests {
             "crates/virtio/tests/prop_queue.rs",
             "crates/core/src/frontend/mod.rs",
             "crates/bench/benches/micro_components.rs",
+            "perfbench/src/probes.rs",
             "crates/core/tests/mq_fifo.rs",
             "crates/core/src/backend/notify.rs",
         ] {
             assert!(is_exempt("queue-router", Path::new(ok)), "{ok} should be exempt");
         }
-        for bad in ["crates/core/src/backend/mod.rs", "tests/concurrency.rs"] {
+        for bad in [
+            "crates/core/src/backend/mod.rs",
+            "tests/concurrency.rs",
+            "perfbench/src/serve.rs",
+            "perfbench/src/pingpong.rs",
+        ] {
             assert!(!is_exempt("queue-router", Path::new(bad)), "{bad} must not be exempt");
         }
     }
@@ -196,7 +203,7 @@ mod tests {
         assert!(!in_scope("staging-buffer", Path::new("crates/core/src/frontend/mod.rs")));
         assert!(!in_scope("staging-buffer", Path::new("crates/bench/src/support.rs")));
         // Exempt: the sanctioned bounce in pcie::dma and the backend's
-        // cold paths; NOT exempt: the zero-copy RMA engine itself.
+        // `Recv` arm; NOT exempt: the single-copy RMA engine itself.
         assert!(is_exempt("staging-buffer", Path::new("crates/pcie/src/dma.rs")));
         assert!(is_exempt("staging-buffer", Path::new("crates/core/src/backend/mod.rs")));
         assert!(!is_exempt("staging-buffer", Path::new("crates/scif/src/rma.rs")));

@@ -23,9 +23,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
-use vphi_pcie::{Aperture, ApertureMap, MapKey, SgList};
+use vphi_pcie::{Aperture, ApertureMap, IoGuard, MapKey, SgList};
 use vphi_phi::PhiBoard;
-use vphi_scif::window::{WindowBacking, WindowBytes};
+use vphi_scif::window::{RangeFn, RangeFnMut, WindowBacking, WindowBytes};
 use vphi_scif::{
     MappedRegion, NodeId, Port, Prot, ScifAddr, ScifEndpoint, ScifError, ScifFabric, ScifResult,
     HOST_NODE,
@@ -54,6 +54,18 @@ impl GuestWindowBytes {
     pub fn new(mem: Arc<GuestMemory>, gpa: Gpa, len: u64) -> Self {
         GuestWindowBytes { mem, gpa, len }
     }
+
+    /// The guest address of window bytes `[at, at + n)`, or `OutOfRange`
+    /// when the span leaves the window — overflow-safe, since `at` and
+    /// `n` can come from a guest.
+    fn span(&self, at: u64, n: u64) -> ScifResult<Gpa> {
+        match at.checked_add(n) {
+            Some(end) if end <= self.len => {
+                self.gpa.0.checked_add(at).map(Gpa).ok_or(ScifError::OutOfRange)
+            }
+            _ => Err(ScifError::OutOfRange),
+        }
+    }
 }
 
 impl WindowBytes for GuestWindowBytes {
@@ -62,17 +74,27 @@ impl WindowBytes for GuestWindowBytes {
     }
 
     fn read(&self, at: u64, out: &mut [u8]) -> ScifResult<()> {
-        if at + out.len() as u64 > self.len {
-            return Err(ScifError::OutOfRange);
-        }
-        self.mem.read(self.gpa.offset(at), out).map_err(|_| ScifError::OutOfRange)
+        let gpa = self.span(at, out.len() as u64)?;
+        self.mem.read(gpa, out).map_err(|_| ScifError::OutOfRange)
     }
 
     fn write(&self, at: u64, data: &[u8]) -> ScifResult<()> {
-        if at + data.len() as u64 > self.len {
-            return Err(ScifError::OutOfRange);
-        }
-        self.mem.write(self.gpa.offset(at), data).map_err(|_| ScifError::OutOfRange)
+        let gpa = self.span(at, data.len() as u64)?;
+        self.mem.write(gpa, data).map_err(|_| ScifError::OutOfRange)
+    }
+
+    fn lock_class(&self) -> Option<LockClass> {
+        Some(self.mem.lock_class())
+    }
+
+    fn with_range(&self, at: u64, len: u64, f: RangeFn<'_>) -> ScifResult<()> {
+        let gpa = self.span(at, len)?;
+        self.mem.with_slice(gpa, len, f).map_err(|_| ScifError::OutOfRange)?
+    }
+
+    fn with_range_mut(&self, at: u64, len: u64, f: RangeFnMut<'_>) -> ScifResult<()> {
+        let gpa = self.span(at, len)?;
+        self.mem.with_slice_mut(gpa, len, f).map_err(|_| ScifError::OutOfRange)?
     }
 }
 
@@ -107,8 +129,9 @@ pub struct BackendStats {
     pub map_hits: AtomicU64,
     /// Scatter-gather descriptors built for zero-copy transfers.
     pub sg_descriptors: AtomicU64,
-    /// Bytes that skipped the backend staging buffer entirely (the
-    /// bounce `vec![0u8; len]` the zero-copy path retires).
+    /// Bytes charged in the mapped cost mode, which has no staging term
+    /// (the staged mode charges per-page translate instead; neither mode
+    /// stages bytes in wall-clock terms).
     pub staging_bytes_avoided: AtomicU64,
 }
 
@@ -122,10 +145,11 @@ pub struct BackendOptions {
     /// so only the exposed remainder of staging lands on the critical
     /// path.  Off by default to keep the calibrated figures byte-stable.
     pub pipeline_rma: bool,
-    /// Zero-copy large RMA: map registered windows into the device
-    /// aperture and gather straight between guest memory and the wire —
-    /// no staging copy at all (DESIGN.md #19).  Off by default to keep
-    /// the calibrated figures byte-stable.
+    /// Zero-copy large RMA: charge RMAs above `KMALLOC_MAX_SIZE` as
+    /// aperture-mapped windows gathered over a scatter-gather list instead
+    /// of staged per-page translation (DESIGN.md #19).  A cost mode only:
+    /// the bytes move once either way.  Off by default to keep the
+    /// calibrated figures byte-stable.
     pub zero_copy_rma: bool,
 }
 
@@ -509,6 +533,43 @@ impl BackendInner {
         (key, sg)
     }
 
+    /// The guest buffer of a `vreadfrom`/`vwriteto` request.  `len` is
+    /// guest-controlled: it must fit the first payload descriptor and map
+    /// to real guest memory.
+    fn rma_guest_buffer(&self, chain: &DescChain, len: u64) -> ScifResult<GuestWindowBytes> {
+        let d = self.payload(chain).first().copied().ok_or(ScifError::Inval)?;
+        if len > u64::from(d.len) {
+            return Err(ScifError::Inval);
+        }
+        self.guest_mem.with_slice(Gpa(d.addr), len, |_| ()).map_err(|_| ScifError::Inval)?;
+        Ok(GuestWindowBytes::new(Arc::clone(&self.guest_mem), Gpa(d.addr), len))
+    }
+
+    /// Charge the virtual-time cost of an RMA's guest buffer.  Wall-clock
+    /// bytes move the same way at every size (once, straight between the
+    /// device window and guest memory); the two cost modes differ only
+    /// here.  Mapped (`zero_copy_rma`, above `KMALLOC_MAX_SIZE`): pin + map
+    /// the window into the aperture, and return the I/O guard that keeps
+    /// the mapping from being torn down mid-copy.  Staged otherwise:
+    /// per-page translate, the term behind Fig. 5's 72% ceiling.
+    fn charge_rma_buffer(
+        &self,
+        epd: u64,
+        gpa: u64,
+        len: u64,
+        ctx: &mut OpCtx<'_>,
+    ) -> Option<IoGuard<'_>> {
+        if self.zero_copy_rma && len > KMALLOC_MAX_SIZE {
+            let span = ctx.begin("dma-map", Stage::DmaMap);
+            let (key, _sg) = self.charge_map(epd, gpa, len, ctx.tl);
+            ctx.end(span);
+            self.aperture.begin_io(key)
+        } else {
+            self.charge_translate(epd, gpa, len, ctx.tl);
+            None
+        }
+    }
+
     /// Execute one decoded request against the host SCIF driver.
     fn execute(&self, req: &VphiRequest, chain: &DescChain, ctx: &mut OpCtx<'_>) -> VphiResponse {
         let r: ScifResult<(u64, u64)> = (|| match *req {
@@ -632,72 +693,16 @@ impl BackendInner {
             }
             VphiRequest::VreadFrom { epd, roffset, len, flags } => {
                 let ep = self.ep(epd)?;
-                let d = self.payload(chain).first().copied().ok_or(ScifError::Inval)?;
-                // `len` is guest-controlled: it must fit the descriptor's
-                // buffer AND map to real guest memory *before* it sizes a
-                // host allocation.
-                if len > u64::from(d.len) {
-                    return Err(ScifError::Inval);
-                }
-                self.guest_mem
-                    .with_slice(Gpa(d.addr), len, |_| ())
-                    .map_err(|_| ScifError::Inval)?;
-                if self.zero_copy_rma && len > KMALLOC_MAX_SIZE {
-                    // Zero-copy: pin + map the window, then gather the
-                    // device bytes straight into guest memory — the
-                    // staging bounce buffer below never exists.
-                    let span = ctx.begin("dma-map", Stage::DmaMap);
-                    let (key, _sg) = self.charge_map(epd, d.addr, len, ctx.tl);
-                    ctx.end(span);
-                    let _io = self.aperture.begin_io(key);
-                    let dst = GuestWindowBytes::new(Arc::clone(&self.guest_mem), Gpa(d.addr), len);
-                    ep.vreadfrom_window(
-                        &dst,
-                        0,
-                        len,
-                        roffset,
-                        rma_flags_from_wire(flags),
-                        &mut *ctx,
-                    )?;
-                } else {
-                    self.charge_translate(epd, d.addr, len, ctx.tl);
-                    let mut buf = vec![0u8; len as usize];
-                    ep.vreadfrom(&mut buf, roffset, rma_flags_from_wire(flags), &mut *ctx)?;
-                    self.guest_mem.write(Gpa(d.addr), &buf).map_err(|_| ScifError::Inval)?;
-                }
+                let dst = self.rma_guest_buffer(chain, len)?;
+                let _io = self.charge_rma_buffer(epd, dst.gpa.0, len, ctx);
+                ep.vreadfrom_window(&dst, 0, len, roffset, rma_flags_from_wire(flags), &mut *ctx)?;
                 Ok((len, 0))
             }
             VphiRequest::VwriteTo { epd, roffset, len, flags } => {
                 let ep = self.ep(epd)?;
-                let d = self.payload(chain).first().copied().ok_or(ScifError::Inval)?;
-                if len > u64::from(d.len) {
-                    return Err(ScifError::Inval);
-                }
-                self.guest_mem
-                    .with_slice(Gpa(d.addr), len, |_| ())
-                    .map_err(|_| ScifError::Inval)?;
-                if self.zero_copy_rma && len > KMALLOC_MAX_SIZE {
-                    let span = ctx.begin("dma-map", Stage::DmaMap);
-                    let (key, _sg) = self.charge_map(epd, d.addr, len, ctx.tl);
-                    ctx.end(span);
-                    let _io = self.aperture.begin_io(key);
-                    let src = GuestWindowBytes::new(Arc::clone(&self.guest_mem), Gpa(d.addr), len);
-                    ep.vwriteto_window(
-                        &src,
-                        0,
-                        len,
-                        roffset,
-                        rma_flags_from_wire(flags),
-                        &mut *ctx,
-                    )?;
-                } else {
-                    self.charge_translate(epd, d.addr, len, ctx.tl);
-                    let buf = self
-                        .guest_mem
-                        .with_slice(Gpa(d.addr), len, |s| s.to_vec())
-                        .map_err(|_| ScifError::Inval)?;
-                    ep.vwriteto(&buf, roffset, rma_flags_from_wire(flags), &mut *ctx)?;
-                }
+                let src = self.rma_guest_buffer(chain, len)?;
+                let _io = self.charge_rma_buffer(epd, src.gpa.0, len, ctx);
+                ep.vwriteto_window(&src, 0, len, roffset, rma_flags_from_wire(flags), &mut *ctx)?;
                 Ok((len, 0))
             }
             VphiRequest::ReadFrom { epd, loffset, len, roffset, flags } => {
@@ -1072,5 +1077,73 @@ impl VirtualPciDevice for BackendDevice {
         }
         // Close any endpoints the guest leaked.
         self.inner.eps.lock().endpoints.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vphi_phi::DeviceMemory;
+    use vphi_scif::window::{copy_bytes, COPY_GRANULE};
+    use vphi_sim_core::units::MIB;
+
+    /// A guest window over `len` freshly allocated bytes of `mem`.
+    fn guest_window(mem: &Arc<GuestMemory>, len: u64) -> GuestWindowBytes {
+        GuestWindowBytes::new(Arc::clone(mem), mem.alloc(len).unwrap(), len)
+    }
+
+    fn bytes_of(w: &dyn WindowBytes, at: u64, len: u64) -> Vec<u8> {
+        let mut out = vec![0u8; len as usize];
+        w.read(at, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn guest_window_bounds_are_overflow_safe() {
+        let mem = Arc::new(GuestMemory::new(MIB));
+        let w = guest_window(&mem, PAGE_SIZE);
+        let mut out = [0u8; 3];
+        assert_eq!(w.read(u64::MAX - 1, &mut out), Err(ScifError::OutOfRange));
+        assert_eq!(w.write(u64::MAX - 1, &[1, 2, 3]), Err(ScifError::OutOfRange));
+        assert_eq!(w.with_range(u64::MAX - 1, 3, &mut |_| Ok(())), Err(ScifError::OutOfRange));
+        // A window whose guest address would wrap is refused, not wrapped.
+        let wild = GuestWindowBytes::new(Arc::clone(&mem), Gpa(u64::MAX - 1), PAGE_SIZE);
+        assert_eq!(wild.write(4, &[1]), Err(ScifError::OutOfRange));
+    }
+
+    #[test]
+    fn device_and_guest_exchange_bytes_in_one_copy() {
+        // GDDR (layer 82) is outer to guest memory (84): the device lends
+        // each granule and the guest copies inside that hold, both ways.
+        let guest = Arc::new(GuestMemory::new(8 * MIB));
+        let dev = DeviceMemory::new(8 * MIB);
+        let len = 3 * COPY_GRANULE + 511;
+        let region = WindowBacking::Device(dev.alloc(len + PAGE_SIZE).unwrap());
+        let data: Vec<u8> = (0..len).map(|i| (i * 7 % 256) as u8).collect();
+        WindowBytes::write(&region, 17, &data).unwrap();
+        let g = guest_window(&guest, len + PAGE_SIZE);
+        copy_bytes(&region, 17, &g, 3, len).unwrap();
+        assert_eq!(bytes_of(&g, 3, len), data);
+        assert_eq!(bytes_of(&g, 3 + len, 1), [0]);
+        g.write(0, &vec![0x3C; len as usize]).unwrap();
+        copy_bytes(&g, 0, &region, 1, len).unwrap();
+        assert!(bytes_of(&region, 1, len).iter().all(|&b| b == 0x3C));
+        assert_eq!(bytes_of(&region, 1 + len, 1), [data[len as usize - 16]]);
+        // Timed GDDR reads into guest memory as zeros.
+        let timed = WindowBacking::Device(dev.alloc_timed(len).unwrap());
+        copy_bytes(&timed, 0, &g, 0, len).unwrap();
+        assert!(bytes_of(&g, 0, len).iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn guest_to_guest_bounces_and_short_windows_are_refused() {
+        // Two VMs' memories share a lock class, so they cannot nest.
+        let (a, b) = (Arc::new(GuestMemory::new(MIB)), Arc::new(GuestMemory::new(MIB)));
+        let len = COPY_GRANULE + 9;
+        let (wa, wb) = (guest_window(&a, len), guest_window(&b, len));
+        wa.write(0, &vec![0x42; len as usize]).unwrap();
+        copy_bytes(&wa, 0, &wb, 0, len).unwrap();
+        assert!(bytes_of(&wb, 0, len).iter().all(|&x| x == 0x42));
+        assert_eq!(copy_bytes(&wa, 1, &wb, 0, len), Err(ScifError::OutOfRange));
     }
 }

@@ -54,11 +54,12 @@ pub struct VmConfig {
     /// chunks overlapped with device DMA.  Off by default so the
     /// calibrated figures stay byte-stable; MQ-SCALE turns it on.
     pub pipeline_rma: bool,
-    /// Zero-copy large RMA: pin registered windows into the device
-    /// aperture and scatter-gather straight between guest memory and the
-    /// wire, retiring the backend staging copy (DESIGN.md #19).  Off by
-    /// default so the calibrated figures stay byte-stable; ZERO-COPY
-    /// turns it on.
+    /// Zero-copy large RMA: charge RMAs above `KMALLOC_MAX_SIZE` as
+    /// windows pinned into the device aperture and scatter-gathered
+    /// straight between guest memory and the wire, not as staged per-page
+    /// translation (DESIGN.md #19).  A virtual-time cost mode: the bytes
+    /// move once either way.  Off by default so the calibrated figures
+    /// stay byte-stable; ZERO-COPY turns it on.
     pub zero_copy_rma: bool,
 }
 

@@ -68,46 +68,76 @@ impl DeviceRegion {
         self.backing.is_some()
     }
 
+    /// The lock class guarding the region's bytes, or `None` for a timed
+    /// (unbacked) region, which has none.
+    pub fn lock_class(&self) -> Option<LockClass> {
+        self.backing.as_ref().map(TrackedMutex::class)
+    }
+
+    /// `[at, at + len)` as a slice range of the region, overflow-safe.
+    fn span(&self, at: u64, len: u64) -> Result<std::ops::Range<usize>, MemError> {
+        let end = at.checked_add(len).ok_or(MemError::OutOfBounds)?;
+        if end > self.len {
+            return Err(MemError::OutOfBounds);
+        }
+        Ok(at as usize..end as usize)
+    }
+
+    /// Run `f` over bytes `[at, at + len)` in place, holding the region's
+    /// lock — the single-copy RMA path copies straight between this span
+    /// and the peer's storage.  Timed regions have no bytes to lend:
+    /// `Unbacked` (after the range check).
+    pub fn with_range<R>(
+        &self,
+        at: u64,
+        len: u64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, MemError> {
+        let span = self.span(at, len)?;
+        let backing = self.backing.as_ref().ok_or(MemError::Unbacked)?;
+        Ok(f(&backing.lock()[span]))
+    }
+
+    /// Mutable [`with_range`](Self::with_range).
+    pub fn with_range_mut<R>(
+        &self,
+        at: u64,
+        len: u64,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, MemError> {
+        let span = self.span(at, len)?;
+        let backing = self.backing.as_ref().ok_or(MemError::Unbacked)?;
+        Ok(f(&mut backing.lock()[span]))
+    }
+
     /// Read `buf.len()` bytes starting at `at` within the region.
     ///
     /// Timed (unbacked) regions read as zeros — like uninitialized GDDR —
     /// so paper-scale throughput experiments can RMA against them without
     /// committing gigabytes of simulation-host RAM.
     pub fn read(&self, at: u64, buf: &mut [u8]) -> Result<(), MemError> {
-        let end = at.checked_add(buf.len() as u64).ok_or(MemError::OutOfBounds)?;
-        if end > self.len {
-            return Err(MemError::OutOfBounds);
-        }
-        match self.backing.as_ref() {
-            Some(backing) => {
-                let data = backing.lock();
-                buf.copy_from_slice(&data[at as usize..end as usize]);
+        match self.with_range(at, buf.len() as u64, |s| buf.copy_from_slice(s)) {
+            Err(MemError::Unbacked) => {
+                buf.fill(0);
+                Ok(())
             }
-            None => buf.fill(0),
+            r => r,
         }
-        Ok(())
     }
 
     /// Write `buf` starting at `at` within the region.
     ///
     /// Writes to timed (unbacked) regions are range-checked and discarded.
     pub fn write(&self, at: u64, buf: &[u8]) -> Result<(), MemError> {
-        let end = at.checked_add(buf.len() as u64).ok_or(MemError::OutOfBounds)?;
-        if end > self.len {
-            return Err(MemError::OutOfBounds);
+        match self.with_range_mut(at, buf.len() as u64, |s| s.copy_from_slice(buf)) {
+            Err(MemError::Unbacked) => Ok(()),
+            r => r,
         }
-        if let Some(backing) = self.backing.as_ref() {
-            let mut data = backing.lock();
-            data[at as usize..end as usize].copy_from_slice(buf);
-        }
-        Ok(())
     }
 
     /// Run `f` with the whole backing buffer locked (device-local compute).
     pub fn with_bytes_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> Result<R, MemError> {
-        let backing = self.backing.as_ref().ok_or(MemError::Unbacked)?;
-        let mut data = backing.lock();
-        Ok(f(&mut data))
+        self.with_range_mut(0, self.len, f)
     }
 }
 
@@ -328,6 +358,27 @@ mod tests {
         assert!(r.with_bytes_mut(|_| ()).is_err());
         // Capacity is still accounted.
         assert_eq!(m.allocated(), 64 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn range_access_is_in_place_and_bounded() {
+        let m = DeviceMemory::new(MIB);
+        let r = m.alloc(2 * PAGE_SIZE).unwrap();
+        assert_eq!(r.lock_class(), Some(LockClass::PhiMemData));
+        // An unaligned span straddling the page boundary.
+        let at = PAGE_SIZE - 3;
+        r.with_range_mut(at, 7, |s| s.copy_from_slice(b"in-situ")).unwrap();
+        let mut out = [0u8; 7];
+        r.read(at, &mut out).unwrap();
+        assert_eq!(&out, b"in-situ");
+        assert_eq!(r.with_range(at, 7, |s| s.to_vec()).unwrap(), b"in-situ");
+        assert_eq!(r.with_range(2 * PAGE_SIZE - 1, 2, |_| ()), Err(MemError::OutOfBounds));
+        assert_eq!(r.with_range_mut(u64::MAX - 1, 4, |_| ()), Err(MemError::OutOfBounds));
+        // Timed regions check the range, then lend nothing.
+        let t = m.alloc_timed(PAGE_SIZE).unwrap();
+        assert_eq!(t.lock_class(), None);
+        assert_eq!(t.with_range(0, 8, |_| ()), Err(MemError::Unbacked));
+        assert_eq!(t.with_range_mut(PAGE_SIZE, 8, |_| ()), Err(MemError::OutOfBounds));
     }
 
     #[test]

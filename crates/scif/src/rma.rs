@@ -13,13 +13,12 @@
 
 use std::sync::Arc;
 
-use vphi_pcie::gather_copy;
 use vphi_sim_core::{SimTime, SpanLabel, Timeline};
 
 use crate::endpoint::{EndpointCore, EpState, RmaCompletion};
 use crate::error::{ScifError, ScifResult};
 use crate::types::{Prot, RmaFlags};
-use crate::window::{WindowBacking, WindowBytes};
+use crate::window::{copy_bytes, WindowBacking, WindowBytes};
 
 /// Check connection and fetch the peer for an RMA call.
 fn rma_peer(ep: &EndpointCore) -> ScifResult<Arc<EndpointCore>> {
@@ -27,6 +26,23 @@ fn rma_peer(ep: &EndpointCore) -> ScifResult<Arc<EndpointCore>> {
         return Err(ScifError::NotConn);
     }
     ep.peer_core()
+}
+
+/// The backing of `ep`'s window covering `[offset, offset + len)`, which
+/// must allow `prot`, and the offset into it.  The clone is a strong
+/// (pinned) reference, so bytes move with no window-table lock held.
+fn window_span(
+    ep: &EndpointCore,
+    offset: u64,
+    len: u64,
+    prot: Prot,
+) -> ScifResult<(WindowBacking, u64)> {
+    let windows = ep.windows.lock();
+    let w = windows.lookup(offset, len)?;
+    if !w.prot.contains(prot) {
+        return Err(ScifError::Access);
+    }
+    Ok((w.backing.clone(), offset - w.offset))
 }
 
 impl EndpointCore {
@@ -43,14 +59,8 @@ impl EndpointCore {
             return Err(ScifError::Inval);
         }
         let peer = rma_peer(self)?;
-        {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roffset, buf.len() as u64)?;
-            if !w.prot.contains(Prot::READ) {
-                return Err(ScifError::Access);
-            }
-            w.backing.read(roffset - w.offset, buf)?;
-        }
+        let (src, src_at) = window_span(&peer, roffset, buf.len() as u64, Prot::READ)?;
+        src.read(src_at, buf)?;
         self.charge_rma(&peer, buf.len() as u64, flags, tl)
     }
 
@@ -67,14 +77,8 @@ impl EndpointCore {
             return Err(ScifError::Inval);
         }
         let peer = rma_peer(self)?;
-        {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roffset, buf.len() as u64)?;
-            if !w.prot.contains(Prot::WRITE) {
-                return Err(ScifError::Access);
-            }
-            w.backing.write(roffset - w.offset, buf)?;
-        }
+        let (dst, dst_at) = window_span(&peer, roffset, buf.len() as u64, Prot::WRITE)?;
+        dst.write(dst_at, buf)?;
         self.charge_rma(&peer, buf.len() as u64, flags, tl)
     }
 
@@ -92,30 +96,9 @@ impl EndpointCore {
             return Err(ScifError::Inval);
         }
         let peer = rma_peer(self)?;
-        // Clone each window's backing out of its table lock: the clone is
-        // a strong (pinned) reference, so the bytes can be moved with no
-        // locks held and without materializing the payload.
-        let (src, src_base) = {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roffset, len)?;
-            if !w.prot.contains(Prot::READ) {
-                return Err(ScifError::Access);
-            }
-            (w.backing.clone(), roffset - w.offset)
-        };
-        let (dst, dst_base) = {
-            let windows = self.windows.lock();
-            let w = windows.lookup(loffset, len)?;
-            if !w.prot.contains(Prot::WRITE) {
-                return Err(ScifError::Access);
-            }
-            (w.backing.clone(), loffset - w.offset)
-        };
-        gather_copy(
-            len,
-            |off, buf| src.read(src_base + off, buf),
-            |off, buf| dst.write(dst_base + off, buf),
-        )?;
+        let (src, src_at) = window_span(&peer, roffset, len, Prot::READ)?;
+        let (dst, dst_at) = window_span(self, loffset, len, Prot::WRITE)?;
+        copy_bytes(&src, src_at, &dst, dst_at, len)?;
         self.charge_rma(&peer, len, flags, tl)
     }
 
@@ -133,35 +116,17 @@ impl EndpointCore {
             return Err(ScifError::Inval);
         }
         let peer = rma_peer(self)?;
-        let (src, src_base) = {
-            let windows = self.windows.lock();
-            let w = windows.lookup(loffset, len)?;
-            if !w.prot.contains(Prot::READ) {
-                return Err(ScifError::Access);
-            }
-            (w.backing.clone(), loffset - w.offset)
-        };
-        let (dst, dst_base) = {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roffset, len)?;
-            if !w.prot.contains(Prot::WRITE) {
-                return Err(ScifError::Access);
-            }
-            (w.backing.clone(), roffset - w.offset)
-        };
-        gather_copy(
-            len,
-            |off, buf| src.read(src_base + off, buf),
-            |off, buf| dst.write(dst_base + off, buf),
-        )?;
+        let (src, src_at) = window_span(self, loffset, len, Prot::READ)?;
+        let (dst, dst_at) = window_span(&peer, roffset, len, Prot::WRITE)?;
+        copy_bytes(&src, src_at, &dst, dst_at, len)?;
         self.charge_rma(&peer, len, flags, tl)
     }
 
     /// Zero-copy `scif_vreadfrom` over an externally-pinned destination:
     /// pull `len` bytes from the peer's registered offset `roffset`
-    /// straight into `dst` at `dst_off` — no intermediate payload buffer.
-    /// Validation and cost charging are identical to [`vreadfrom`], so the
-    /// mapped path keeps native timing parity.
+    /// straight into `dst` at `dst_off` — each byte moves once
+    /// ([`copy_bytes`]).  Validation and cost charging are identical to
+    /// [`vreadfrom`], so the mapped path keeps native timing parity.
     ///
     /// [`vreadfrom`]: EndpointCore::vreadfrom
     pub fn vreadfrom_window(
@@ -177,19 +142,8 @@ impl EndpointCore {
             return Err(ScifError::Inval);
         }
         let peer = rma_peer(self)?;
-        let (src, src_base) = {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roffset, len)?;
-            if !w.prot.contains(Prot::READ) {
-                return Err(ScifError::Access);
-            }
-            (w.backing.clone(), roffset - w.offset)
-        };
-        gather_copy(
-            len,
-            |off, buf| src.read(src_base + off, buf),
-            |off, buf| dst.write(dst_off + off, buf),
-        )?;
+        let (src, src_at) = window_span(&peer, roffset, len, Prot::READ)?;
+        copy_bytes(&src, src_at, dst, dst_off, len)?;
         self.charge_rma(&peer, len, flags, tl)
     }
 
@@ -211,19 +165,8 @@ impl EndpointCore {
             return Err(ScifError::Inval);
         }
         let peer = rma_peer(self)?;
-        let (dst, dst_base) = {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roffset, len)?;
-            if !w.prot.contains(Prot::WRITE) {
-                return Err(ScifError::Access);
-            }
-            (w.backing.clone(), roffset - w.offset)
-        };
-        gather_copy(
-            len,
-            |off, buf| src.read(src_off + off, buf),
-            |off, buf| dst.write(dst_base + off, buf),
-        )?;
+        let (dst, dst_at) = window_span(&peer, roffset, len, Prot::WRITE)?;
+        copy_bytes(src, src_off, &dst, dst_at, len)?;
         self.charge_rma(&peer, len, flags, tl)
     }
 
@@ -555,6 +498,38 @@ mod tests {
             client.vreadfrom_window(&local, 0, 0, roff, RmaFlags::SYNC, &mut tl_w),
             Err(ScifError::Inval)
         );
+    }
+
+    #[test]
+    fn device_window_to_pinned_local_moves_bytes_once_with_plain_timing() {
+        // GDDR (layer 82) under a pinned local backing (80): the pinned
+        // side drives each granule and the device copies inside the hold.
+        let (f, client, server) = setup();
+        let len = 2 * crate::window::COPY_GRANULE + 3 * PAGE_SIZE;
+        let region = f.node(NodeId(1)).unwrap().board().unwrap().memory().alloc(len).unwrap();
+        let data: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
+        region.write(0, &data).unwrap();
+        let roff = server
+            .register(None, len, Prot::READ_WRITE, WindowBacking::Device(Arc::clone(&region)))
+            .unwrap();
+        let local = WindowBacking::Pinned(crate::types::pinned_buf(len as usize + 64));
+        let n = len - 100;
+        let mut tl_win = Timeline::new();
+        client.vreadfrom_window(&local, 9, n, roff + 37, RmaFlags::SYNC, &mut tl_win).unwrap();
+        let mut got = vec![0u8; n as usize];
+        WindowBytes::read(&local, 9, &mut got).unwrap();
+        assert_eq!(got, data[37..37 + n as usize]);
+        let mut tl_plain = Timeline::new();
+        client.vreadfrom(&mut got, roff + 37, RmaFlags::SYNC, &mut tl_plain).unwrap();
+        assert_eq!(tl_win.total(), tl_plain.total(), "identical cost charging");
+
+        WindowBytes::write(&local, 0, &vec![0xC3; len as usize]).unwrap();
+        client.vwriteto_window(&local, 0, n, roff + 1, RmaFlags::SYNC, &mut tl_win).unwrap();
+        let mut back = vec![0u8; len as usize];
+        region.read(0, &mut back).unwrap();
+        assert_eq!(back[0], data[0]);
+        assert!(back[1..=n as usize].iter().all(|&b| b == 0xC3));
+        assert_eq!(back[n as usize + 1], data[n as usize + 1]);
     }
 
     #[test]

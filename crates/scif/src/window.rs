@@ -8,14 +8,23 @@
 //! its backing (a shared user buffer or a GDDR region), so the bytes can
 //! never disappear while registered.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use vphi_phi::DeviceRegion;
+use vphi_pcie::gather_copy;
+use vphi_phi::{DeviceRegion, MemError};
 use vphi_sim_core::cost::{HUGE_PAGE_SIZE, PAGE_SIZE};
+use vphi_sync::LockClass;
 
 use crate::error::{ScifError, ScifResult};
 use crate::types::{PinnedBuf, Prot};
+
+/// A closure run over a backing's bytes in place.
+pub type RangeFn<'a> = &'a mut dyn FnMut(&[u8]) -> ScifResult<()>;
+/// A closure run over a backing's bytes in place, mutably.
+pub type RangeFnMut<'a> = &'a mut dyn FnMut(&mut [u8]) -> ScifResult<()>;
 
 /// External byte storage registerable as a window — implemented by the
 /// vPHI backend over *guest physical memory*, so that a window registered
@@ -30,6 +39,98 @@ pub trait WindowBytes: Send + Sync {
     }
     fn read(&self, at: u64, out: &mut [u8]) -> ScifResult<()>;
     fn write(&self, at: u64, data: &[u8]) -> ScifResult<()>;
+    /// The lock class guarding the bytes, or `None` when the backing
+    /// stores none (a timed GDDR region: reads as zeros, drops writes).
+    /// [`copy_bytes`] lets the side whose class is outer drive a copy.
+    fn lock_class(&self) -> Option<LockClass>;
+    /// Run `f` over bytes `[at, at + len)` in place, holding the backing's
+    /// lock.  A backing that stores no bytes checks the range and never
+    /// calls `f`.
+    fn with_range(&self, at: u64, len: u64, f: RangeFn<'_>) -> ScifResult<()>;
+    /// Mutable [`with_range`](WindowBytes::with_range).
+    fn with_range_mut(&self, at: u64, len: u64, f: RangeFnMut<'_>) -> ScifResult<()>;
+}
+
+/// Most bytes one lock hold covers in [`copy_bytes`] (about 40 µs of
+/// `memcpy` at 6.5 GB/s): guest memory's lock is VM-global, and the
+/// backend decodes every request of the VM under it.
+pub const COPY_GRANULE: u64 = 256 * 1024;
+
+/// Move `len` bytes from `src` at `src_at` to `dst` at `dst_at`, touching
+/// each byte once.
+///
+/// The side whose lock is outer in the DESIGN.md #12 hierarchy lends one
+/// granule in place per lock hold and the other side copies inside that
+/// hold: one `memcpy` per granule, no staging.  A backing without bytes
+/// reads as zeros and drops writes.  Two backings of one lock layer may
+/// not nest (they may even be the same lock), so they bounce through
+/// [`gather_copy`].  Both ranges are checked before any byte moves.
+pub fn copy_bytes(
+    src: &dyn WindowBytes,
+    src_at: u64,
+    dst: &dyn WindowBytes,
+    dst_at: u64,
+    len: u64,
+) -> ScifResult<()> {
+    let fits = |b: &dyn WindowBytes, at: u64| at.checked_add(len).is_some_and(|e| e <= b.len());
+    if !fits(src, src_at) || !fits(dst, dst_at) {
+        return Err(ScifError::OutOfRange);
+    }
+    let (src_class, dst_class) = match (src.lock_class(), dst.lock_class()) {
+        (_, None) => return Ok(()),
+        (None, Some(_)) => {
+            return for_granules(len, |off, n| {
+                dst.with_range_mut(dst_at + off, n, &mut |d| {
+                    d.fill(0);
+                    Ok(())
+                })
+            })
+        }
+        (Some(s), Some(d)) => (s, d),
+    };
+    match src_class.layer().cmp(&dst_class.layer()) {
+        Ordering::Less => for_granules(len, |off, n| {
+            src.with_range(src_at + off, n, &mut |s| dst.write(dst_at + off, s))
+        }),
+        Ordering::Greater => for_granules(len, |off, n| {
+            dst.with_range_mut(dst_at + off, n, &mut |d| src.read(src_at + off, d))
+        }),
+        Ordering::Equal => gather_copy(
+            len,
+            |off, buf| src.read(src_at + off, buf),
+            |off, buf| dst.write(dst_at + off, buf),
+        ),
+    }
+}
+
+/// Call `f(offset, n)` over `[0, len)` in [`COPY_GRANULE`] steps.
+fn for_granules(len: u64, mut f: impl FnMut(u64, u64) -> ScifResult<()>) -> ScifResult<()> {
+    let mut off = 0;
+    while off < len {
+        let n = (len - off).min(COPY_GRANULE);
+        f(off, n)?;
+        off += n;
+    }
+    Ok(())
+}
+
+/// `[at, at + len)` as a slice range of a `size`-byte buffer, or
+/// `OutOfRange` — overflow-safe, so a hostile offset cannot wrap past it.
+fn span(at: u64, len: u64, size: usize) -> ScifResult<Range<usize>> {
+    match at.checked_add(len) {
+        Some(end) if end <= size as u64 => Ok(at as usize..end as usize),
+        _ => Err(ScifError::OutOfRange),
+    }
+}
+
+/// A device-region access result in SCIF terms; a timed region's
+/// `Unbacked` is the documented no-bytes success.
+fn device_result(r: Result<ScifResult<()>, MemError>) -> ScifResult<()> {
+    match r {
+        Ok(res) => res,
+        Err(MemError::Unbacked) => Ok(()),
+        Err(_) => Err(ScifError::OutOfRange),
+    }
 }
 
 /// What a window's bytes live in.
@@ -72,11 +173,7 @@ impl WindowBacking {
         match self {
             WindowBacking::Pinned(b) => {
                 let data = b.lock();
-                let end = at as usize + out.len();
-                if end > data.len() {
-                    return Err(ScifError::OutOfRange);
-                }
-                out.copy_from_slice(&data[at as usize..end]);
+                out.copy_from_slice(&data[span(at, out.len() as u64, data.len())?]);
                 Ok(())
             }
             WindowBacking::Device(r) => r.read(at, out).map_err(|_| ScifError::OutOfRange),
@@ -89,11 +186,8 @@ impl WindowBacking {
         match self {
             WindowBacking::Pinned(b) => {
                 let mut buf = b.lock();
-                let end = at as usize + data.len();
-                if end > buf.len() {
-                    return Err(ScifError::OutOfRange);
-                }
-                buf[at as usize..end].copy_from_slice(data);
+                let range = span(at, data.len() as u64, buf.len())?;
+                buf[range].copy_from_slice(data);
                 Ok(())
             }
             WindowBacking::Device(r) => r.write(at, data).map_err(|_| ScifError::OutOfRange),
@@ -123,6 +217,34 @@ impl WindowBytes for WindowBacking {
     }
     fn write(&self, at: u64, data: &[u8]) -> ScifResult<()> {
         WindowBacking::write(self, at, data)
+    }
+    fn lock_class(&self) -> Option<LockClass> {
+        match self {
+            WindowBacking::Pinned(b) => Some(b.class()),
+            WindowBacking::Device(r) => r.lock_class(),
+            WindowBacking::External(e) => e.lock_class(),
+        }
+    }
+    fn with_range(&self, at: u64, len: u64, f: RangeFn<'_>) -> ScifResult<()> {
+        match self {
+            WindowBacking::Pinned(b) => {
+                let data = b.lock();
+                f(&data[span(at, len, data.len())?])
+            }
+            WindowBacking::Device(r) => device_result(r.with_range(at, len, f)),
+            WindowBacking::External(e) => e.with_range(at, len, f),
+        }
+    }
+    fn with_range_mut(&self, at: u64, len: u64, f: RangeFnMut<'_>) -> ScifResult<()> {
+        match self {
+            WindowBacking::Pinned(b) => {
+                let mut data = b.lock();
+                let range = span(at, len, data.len())?;
+                f(&mut data[range])
+            }
+            WindowBacking::Device(r) => device_result(r.with_range_mut(at, len, f)),
+            WindowBacking::External(e) => e.with_range_mut(at, len, f),
+        }
     }
 }
 
@@ -260,6 +382,7 @@ impl WindowTable {
 mod tests {
     use super::*;
     use crate::types::pinned_buf;
+    use vphi_sim_core::units::MIB;
 
     fn backing(pages: u64) -> WindowBacking {
         WindowBacking::Pinned(pinned_buf((pages * PAGE_SIZE) as usize))
@@ -362,6 +485,105 @@ mod tests {
         assert_eq!(b.read(PAGE_SIZE - 1, &mut out).err(), Some(ScifError::OutOfRange));
         assert_eq!(b.write(PAGE_SIZE, &[0]).err(), Some(ScifError::OutOfRange));
         assert!(b.device_base_pfn().is_none());
+    }
+
+    #[test]
+    fn pinned_bounds_are_overflow_safe() {
+        let b = backing(1);
+        let mut out = [0u8; 3];
+        assert_eq!(b.read(u64::MAX - 1, &mut out), Err(ScifError::OutOfRange));
+        assert_eq!(b.write(u64::MAX - 1, &[1, 2, 3]), Err(ScifError::OutOfRange));
+        assert_eq!(b.with_range(u64::MAX - 1, 3, &mut |_| Ok(())), Err(ScifError::OutOfRange));
+        assert_eq!(copy_bytes(&b, u64::MAX - 1, &backing(1), 0, 3), Err(ScifError::OutOfRange));
+    }
+
+    /// `len` bytes of a seeded pattern, so a misplaced granule shows.
+    fn pattern(len: usize, seed: u8) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8 ^ seed).collect()
+    }
+
+    fn device(pages: u64) -> (vphi_phi::DeviceMemory, WindowBacking) {
+        let mem = vphi_phi::DeviceMemory::new(64 * MIB);
+        let region = mem.alloc(pages * PAGE_SIZE).unwrap();
+        (mem, WindowBacking::Device(region))
+    }
+
+    fn contents(b: &WindowBacking, at: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        b.read(at, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn single_copy_is_byte_exact_across_granules_at_unaligned_offsets() {
+        // Pinned (layer 80) is outer to GDDR (82): the pinned side drives
+        // in both directions, the device copies inside its hold.
+        let len = 2 * COPY_GRANULE + 777;
+        let pages = (len + 2 * PAGE_SIZE).div_ceil(PAGE_SIZE);
+        let data = pattern(len as usize, 0x5A);
+        let (_mem, dev) = device(pages);
+        let pinned = backing(pages);
+        pinned.write(13, &data).unwrap();
+        copy_bytes(&pinned, 13, &dev, 4099, len).unwrap();
+        assert_eq!(contents(&dev, 4099, len as usize), data);
+        assert_eq!(contents(&dev, 4098, 1), [0], "byte before the span untouched");
+        assert_eq!(contents(&dev, 4099 + len, 1), [0], "byte after the span untouched");
+        copy_bytes(&dev, 4099, &pinned, 1, len).unwrap();
+        assert_eq!(contents(&pinned, 1, len as usize), data);
+    }
+
+    #[test]
+    fn same_class_pairs_bounce() {
+        // Two pinned buffers, and two GDDR windows on one card: nesting
+        // same-class locks is forbidden, so these go through gather_copy.
+        let len = COPY_GRANULE + 5;
+        let data = pattern(len as usize, 7);
+        let pages = (len + PAGE_SIZE).div_ceil(PAGE_SIZE);
+        let (a, b) = (backing(pages), backing(pages));
+        a.write(3, &data).unwrap();
+        copy_bytes(&a, 3, &b, 11, len).unwrap();
+        assert_eq!(contents(&b, 11, len as usize), data);
+        let mem = vphi_phi::DeviceMemory::new(64 * MIB);
+        let d1 = WindowBacking::Device(mem.alloc(pages * PAGE_SIZE).unwrap());
+        let d2 = WindowBacking::Device(mem.alloc(pages * PAGE_SIZE).unwrap());
+        copy_bytes(&b, 11, &d1, 0, len).unwrap();
+        copy_bytes(&d1, 0, &d2, 9, len).unwrap();
+        assert_eq!(contents(&d2, 9, len as usize), data);
+        // A window copied onto itself, overlapping, through the bounce.
+        copy_bytes(&d2, 9, &d2, 10, 1).unwrap();
+        assert_eq!(contents(&d2, 10, 1), [data[0]]);
+    }
+
+    #[test]
+    fn unbacked_region_reads_zeros_and_drops_writes() {
+        let mem = vphi_phi::DeviceMemory::new(64 * MIB);
+        let timed = WindowBacking::Device(mem.alloc_timed(130 * PAGE_SIZE).unwrap());
+        assert_eq!(timed.lock_class(), None);
+        let len = 2 * COPY_GRANULE + 1;
+        let pinned = backing(130);
+        pinned.write(0, &vec![0xFF; (130 * PAGE_SIZE) as usize]).unwrap();
+        copy_bytes(&timed, 5, &pinned, 7, len).unwrap();
+        assert!(contents(&pinned, 7, len as usize).iter().all(|&b| b == 0));
+        assert_eq!(contents(&pinned, 6, 1), [0xFF]);
+        assert_eq!(contents(&pinned, 7 + len, 1), [0xFF]);
+        // Writes into it succeed and vanish; its range is still checked.
+        copy_bytes(&pinned, 0, &timed, 0, len).unwrap();
+        assert_eq!(contents(&timed, 0, 4), [0; 4]);
+        assert_eq!(
+            copy_bytes(&pinned, 0, &timed, 130 * PAGE_SIZE - 1, 2),
+            Err(ScifError::OutOfRange)
+        );
+    }
+
+    #[test]
+    fn short_backing_is_out_of_range_before_any_byte_moves() {
+        let (_mem, dev) = device(4);
+        let short = backing(1);
+        assert_eq!(copy_bytes(&dev, 0, &short, 0, PAGE_SIZE + 1), Err(ScifError::OutOfRange));
+        assert_eq!(copy_bytes(&short, 1, &dev, 0, PAGE_SIZE), Err(ScifError::OutOfRange));
+        dev.write(0, &[9; 8]).unwrap();
+        assert_eq!(copy_bytes(&dev, 0, &short, PAGE_SIZE - 4, 8), Err(ScifError::OutOfRange));
+        assert_eq!(contents(&short, PAGE_SIZE - 4, 4), [0; 4], "nothing copied");
     }
 
     #[test]

@@ -90,6 +90,12 @@ impl GuestMemory {
         self.state.lock().live.values().sum()
     }
 
+    /// The lock class guarding the arena; single-copy RMA orders its lock
+    /// holds by it.
+    pub fn lock_class(&self) -> LockClass {
+        self.state.class()
+    }
+
     /// Allocate `len` bytes of guest-physically-contiguous memory
     /// (page-rounded).  This is what backs both guest kmalloc and the
     /// virtio rings.

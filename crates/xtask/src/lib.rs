@@ -46,13 +46,12 @@
 //!    property test: a stray kick bypasses EVENT_IDX suppression and the
 //!    kicks-per-submission ledger the open-loop figure is built on.
 //! 9. `staging-buffer` — repeat-form `vec![_; len]` allocation is banned
-//!    on the RMA path (`scif/src/rma.rs`, the backend, `pcie/`): the
-//!    zero-copy design (DESIGN.md #19) moves bytes through
-//!    `pcie::dma::gather_copy`'s fixed bounce block and scatter-gather
-//!    descriptor lists, so a fresh length-sized staging vec is exactly the
-//!    copy the feature retired.  The sanctioned bounce (`pcie/src/dma.rs`)
-//!    and the backend's cold paths (`Recv`, small/feature-off RMA in
-//!    `backend/mod.rs`) are exempt; `#[cfg(test)]` items are skipped
+//!    on the RMA path (`scif/src/rma.rs`, the backend, `pcie/`): every
+//!    RMA moves its bytes once, straight between the window and guest
+//!    memory (`scif::window::copy_bytes`, DESIGN.md #19), so a fresh
+//!    length-sized staging vec is exactly the copy that design retired.
+//!    The sanctioned bounce (`pcie/src/dma.rs`) and the backend's `Recv`
+//!    arm (`backend/mod.rs`) are exempt; `#[cfg(test)]` items are skipped
 //!    because tests stage reference buffers on purpose.
 
 use std::fmt;
@@ -339,7 +338,7 @@ fn scan_staging(tokens: &[TokenTree], rel: &Path, out: &mut Vec<Violation>) {
                         file: rel.to_path_buf(),
                         line: tokens[i].line(),
                         rule: "staging-buffer",
-                        message: "vec![_; len] builds a length-sized staging buffer on the RMA path; zero-copy transfers go through pcie::dma (gather_copy / SgList) — staging is allowed only in the exempt cold paths (DESIGN.md #19)".into(),
+                        message: "vec![_; len] builds a length-sized staging buffer on the RMA path; RMA bytes move once through scif::window::copy_bytes — staging is allowed only in the exempt paths (DESIGN.md #19)".into(),
                     });
                 }
             }

@@ -328,3 +328,68 @@ fn async_rma_and_fences_through_vphi() {
     vm.shutdown();
     device.join().unwrap();
 }
+
+#[test]
+fn rma_moves_exact_bytes_on_staged_and_mapped_paths() {
+    // A byte-backed device window read into and written from guest
+    // buffers on both sides of the KMALLOC_MAX_SIZE gate: the staged cost
+    // mode below it, the aperture-mapped one above.  Either way the bytes
+    // move once, device window straight to guest memory.
+    const WIN: u64 = 8 * MIB;
+    let host = VphiHost::new(1);
+    let board = std::sync::Arc::clone(host.board(0));
+    let server = host.device_endpoint(0).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let device = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        server.bind(Port(976), &mut tl).unwrap();
+        server.listen(2, &mut tl).unwrap();
+        tx.send(()).unwrap();
+        let conn = server.accept(&mut tl).unwrap();
+        let region = board.memory().alloc(WIN).unwrap();
+        let pattern: Vec<u8> = (0..WIN).map(|i| (i % 241) as u8).collect();
+        region.write(0, &pattern).unwrap();
+        conn.register(Some(0), WIN, Prot::READ_WRITE, WindowBacking::Device(region), &mut tl)
+            .unwrap();
+        conn.core().send(&[1], &mut tl).unwrap(); // window ready
+        let mut fin = [0u8; 1];
+        let _ = conn.core().recv(&mut fin, &mut tl);
+    });
+    rx.recv().unwrap();
+
+    let vm = host.spawn_vm(VmConfig::builder().mem_size(64 * MIB).zero_copy_rma(true).build());
+    let mut tl = Timeline::new();
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(ScifAddr::new(host.device_node(0), Port(976)), &mut tl).unwrap();
+    let mut ready = [0u8; 1];
+    ep.recv(&mut ready, &mut tl).unwrap();
+
+    let region = host.board(0).memory().region_at(0).unwrap();
+    for (len, roffset) in [(MIB + 17, 4097u64), (5 * MIB + 3, 11)] {
+        let buf = vm.alloc_buf(len).unwrap();
+        ep.vreadfrom(&buf, roffset, RmaFlags::SYNC, &mut tl).unwrap();
+        let mut got = vec![0u8; len as usize];
+        buf.peek(0, &mut got).unwrap();
+        let want: Vec<u8> = (roffset..roffset + len).map(|i| (i % 241) as u8).collect();
+        assert_eq!(got, want, "vreadfrom of {len} bytes at {roffset}");
+
+        buf.fill(0, &vec![0xE7; len as usize]).unwrap();
+        ep.vwriteto(&buf, roffset + 1, RmaFlags::SYNC, &mut tl).unwrap();
+        let mut dev = vec![0u8; len as usize + 2];
+        region.read(roffset, &mut dev).unwrap();
+        assert_eq!(dev[0], (roffset % 241) as u8, "byte before the write untouched");
+        assert!(dev[1..=len as usize].iter().all(|&b| b == 0xE7), "vwriteto of {len} bytes");
+        assert_eq!(dev[len as usize + 1], ((roffset + len + 1) % 241) as u8);
+        // Restore the pattern for the next size.
+        region.write(roffset, &want).unwrap();
+        region.write(roffset + len, &[((roffset + len) % 241) as u8]).unwrap();
+    }
+    let report = vphi::debugfs::VphiDebugReport::collect(&vm);
+    assert_eq!(report.windows_mapped + report.map_hits, 2, "the 5 MiB pair took the mapped arm");
+
+    ep.send(&[0], &mut tl).unwrap();
+    ep.close(&mut tl).unwrap();
+    vm.shutdown();
+    device.join().unwrap();
+    assert_eq!(vphi_sync::audit::violation_count(), 0, "lock-order violations detected");
+}
