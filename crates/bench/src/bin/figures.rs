@@ -646,15 +646,8 @@ fn mq_scale_fig() {
     );
     println!("4-VM speedup at 4 queues vs 1: {:.2}x (floor 2.5x)", report.mq_speedup());
     println!(
-        "1-queue 1B anchor: {} (seed: 382us); default config: {}",
+        "1-queue 1B anchor: {} (seed: 382us); default config: {}\n",
         report.anchor_single_queue, report.anchor_default
-    );
-    println!(
-        "pipelined {} read: {} vs monolithic {} ({:.1}% better, floor 20%)\n",
-        format_bytes(report.rma_bytes),
-        report.rma_pipelined,
-        report.rma_monolithic,
-        report.rma_improvement_pct()
     );
 
     // Machine-readable companion for plotting scripts.
@@ -677,9 +670,7 @@ fn mq_scale_json(report: &vphi_bench::MqScaleReport) -> String {
          \x20 \"busiest_lane_share\": [{}],\n  \"makespan_ns\": [{}],\n\
          \x20 \"aggregate_bw\": [{}],\n\
          \x20 \"mq_speedup_4vm_4q_vs_1q\": {:.4},\n\
-         \x20 \"anchor_single_queue_ns\": {},\n  \"anchor_default_ns\": {},\n\
-         \x20 \"rma_bytes\": {},\n  \"rma_monolithic_ns\": {},\n\
-         \x20 \"rma_pipelined_ns\": {},\n  \"rma_improvement_pct\": {:.2}\n}}\n",
+         \x20 \"anchor_single_queue_ns\": {},\n  \"anchor_default_ns\": {}\n}}\n",
         series(&|r| r.queues.to_string()),
         series(&|r| r.vms.to_string()),
         series(&|r| r.requests.to_string()),
@@ -689,10 +680,6 @@ fn mq_scale_json(report: &vphi_bench::MqScaleReport) -> String {
         report.mq_speedup(),
         report.anchor_single_queue.as_nanos(),
         report.anchor_default.as_nanos(),
-        report.rma_bytes,
-        report.rma_monolithic.as_nanos(),
-        report.rma_pipelined.as_nanos(),
-        report.rma_improvement_pct(),
     )
 }
 

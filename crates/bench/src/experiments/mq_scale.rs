@@ -1,7 +1,7 @@
 //! **MQ-SCALE** — multi-queue transport scaling.
 //!
 //! The tentpole experiment for the sharded transport: what does adding
-//! virtqueue lanes buy when several VMs hammer the card at once?  Three
+//! virtqueue lanes buy when several VMs hammer the card at once?  Two
 //! measurements, one report:
 //!
 //! 1. **Aggregate throughput vs queue count × VM count.**  Hybrid method
@@ -15,18 +15,15 @@
 //!    seed's Fig. 4 numbers byte-for-byte (382 µs for a 1-byte send) —
 //!    and because virtual time is queue-count-independent, so must the
 //!    default 4-queue config.
-//! 3. **Pipelined DMA.**  A ≥ 64 MiB cold-path remote read with
-//!    `pipeline_rma` on must beat monolithic staging by ≥ 20%.
 
-use vphi::backend::RegCacheConfig;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::frontend::VphiChannel;
 use vphi::protocol::VphiRequest;
-use vphi_scif::{Port, RmaFlags, ScifAddr};
-use vphi_sim_core::units::{KIB, MIB};
+use vphi_scif::{Port, ScifAddr};
+use vphi_sim_core::units::KIB;
 use vphi_sim_core::{SimDuration, SimTime, SpanLabel, Timeline};
 
-use crate::support::{spawn_device_sink, spawn_device_window, wait_for_guest_window};
+use crate::support::spawn_device_sink;
 
 /// The queue-count axis of the figure.
 pub const MQ_QUEUE_COUNTS: &[u16] = &[1, 2, 4];
@@ -41,8 +38,6 @@ const REQUESTS_PER_ENDPOINT: u64 = 16;
 /// Payload per request — small enough that the shard service time, not
 /// the link, is the single-queue bottleneck (the regime MQ targets).
 const REQUEST_BYTES: u64 = 4 * KIB;
-/// The pipelined-DMA probe size (acceptance: ≥ 64 MiB, ≥ 20% faster).
-const RMA_BYTES: u64 = 64 * MIB;
 
 /// Timeline labels charged on the guest's vCPU — they pipeline across
 /// requests and across VMs, so only one "fill" of them bounds the
@@ -74,8 +69,8 @@ pub struct MqScaleRow {
     pub aggregate_bw: f64,
 }
 
-/// The full MQ-SCALE report: the scaling grid plus both acceptance
-/// anchors (single-queue byte-identity, pipelined-DMA win).
+/// The full MQ-SCALE report: the scaling grid plus the single-queue
+/// byte-identity anchor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MqScaleReport {
     pub rows: Vec<MqScaleRow>,
@@ -83,11 +78,6 @@ pub struct MqScaleReport {
     pub anchor_default: SimDuration,
     /// 1-byte send latency with `num_queues = 1` — the seed's 382 µs.
     pub anchor_single_queue: SimDuration,
-    pub rma_bytes: u64,
-    /// Cold-path 64 MiB remote read, monolithic staging.
-    pub rma_monolithic: SimDuration,
-    /// Same read with double-buffered DMA pipelining.
-    pub rma_pipelined: SimDuration,
 }
 
 impl MqScaleReport {
@@ -99,13 +89,6 @@ impl MqScaleReport {
     /// headline number; acceptance floor 2.5×).
     pub fn mq_speedup(&self) -> f64 {
         self.row(4, 4).aggregate_bw / self.row(1, 4).aggregate_bw
-    }
-
-    /// Wall-time improvement of pipelined over monolithic staging
-    /// (acceptance floor 20%).
-    pub fn rma_improvement_pct(&self) -> f64 {
-        100.0 * self.rma_monolithic.saturating_sub(self.rma_pipelined).as_nanos() as f64
-            / self.rma_monolithic.as_nanos().max(1) as f64
     }
 }
 
@@ -168,9 +151,6 @@ pub fn mq_scale() -> MqScaleReport {
         rows,
         anchor_default: one_byte_latency(VmConfig::default(), Port(880)),
         anchor_single_queue: one_byte_latency(VmConfig::builder().num_queues(1).build(), Port(881)),
-        rma_bytes: RMA_BYTES,
-        rma_monolithic: rma_cold_read(false, Port(882)),
-        rma_pipelined: rma_cold_read(true, Port(883)),
     }
 }
 
@@ -213,35 +193,6 @@ fn one_byte_latency(config: VmConfig, port: Port) -> SimDuration {
     latency
 }
 
-/// One cold-path remote read of [`RMA_BYTES`] with the registration
-/// cache disabled (every read pays the translate charge, which is where
-/// pipelining overlaps staging with device DMA).
-fn rma_cold_read(pipeline: bool, port: Port) -> SimDuration {
-    let host = VphiHost::new(1);
-    let server = spawn_device_window(&host, port, RMA_BYTES);
-    let vm = host.spawn_vm(
-        VmConfig::builder()
-            .mem_size(RMA_BYTES + 64 * MIB)
-            .reg_cache(RegCacheConfig::disabled())
-            .pipeline_rma(pipeline)
-            .build(),
-    );
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("open");
-    guest.connect(ScifAddr::new(host.device_node(0), port), &mut tl).expect("connect");
-    wait_for_guest_window(&guest, &vm);
-    let gbuf = vm.alloc_buf(RMA_BYTES).expect("buf");
-    let mut read_tl = Timeline::new();
-    guest.vreadfrom(&gbuf, 0, RmaFlags::SYNC, &mut read_tl).expect("vread");
-    let total = read_tl.total();
-    drop(gbuf);
-    let mut tl_close = Timeline::new();
-    let _ = guest.close(&mut tl_close);
-    vm.shutdown();
-    let _ = server.join();
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,15 +212,6 @@ mod tests {
         // time is queue-count-independent).
         assert_eq!(report.anchor_single_queue, SimDuration::from_micros(382));
         assert_eq!(report.anchor_default, report.anchor_single_queue);
-        // Pipelined DMA beats monolithic staging by ≥ 20% at 64 MiB.
-        assert!(report.rma_bytes >= 64 * MIB);
-        assert!(
-            report.rma_improvement_pct() >= 20.0,
-            "pipelined RMA improvement = {:.1}% ({} → {})",
-            report.rma_improvement_pct(),
-            report.rma_monolithic,
-            report.rma_pipelined
-        );
     }
 
     #[test]

@@ -140,11 +140,6 @@ pub struct BackendStats {
 pub struct BackendOptions {
     /// RMA registration-cache tuning (enabled by default).
     pub reg_cache: RegCacheConfig,
-    /// Pipeline large RMA staging: split cold-path pin/translate into
-    /// `KMALLOC_MAX_SIZE` chunks double-buffered against the DMA channels,
-    /// so only the exposed remainder of staging lands on the critical
-    /// path.  Off by default to keep the calibrated figures byte-stable.
-    pub pipeline_rma: bool,
     /// Zero-copy large RMA: charge RMAs above `KMALLOC_MAX_SIZE` as
     /// aperture-mapped windows gathered over a scatter-gather list instead
     /// of staged per-page translation (DESIGN.md #19).  A cost mode only:
@@ -176,7 +171,6 @@ pub struct BackendInner {
     mmaps: TrackedMutex<MmapTable>,
     policy: DispatchPolicy,
     running: AtomicBool,
-    pipeline_rma: bool,
     /// Per-lane interrupt gates — the only path to an MSI injection.
     notifiers: Vec<Arc<LaneNotifier>>,
     /// Worker dispatches per queue lane — the shard-level counterpart of
@@ -481,17 +475,7 @@ impl BackendInner {
         }
         let pages = bytes.div_ceil(PAGE_SIZE).max(1);
         self.stats.pages_translated.fetch_add(pages, Ordering::Relaxed);
-        let chunk = KMALLOC_MAX_SIZE;
-        if self.pipeline_rma && bytes > chunk {
-            // Double-buffered staging pipeline: the transfer's own DMA
-            // charge (inside the SCIF replay) covers the wire; here we
-            // charge only the staging the pipeline could not hide behind
-            // earlier chunks' DMA.
-            let exposed = self.fabric.shared().rma_pipeline_exposure(bytes, chunk);
-            tl.charge(SpanLabel::PageTranslate, exposed);
-        } else {
-            tl.charge(SpanLabel::PageTranslate, self.cost().page_translate * pages);
-        }
+        tl.charge(SpanLabel::PageTranslate, self.cost().translate_pages(bytes));
     }
 
     /// Zero-copy map charge: probe the mapping cache, pin + map the
@@ -857,56 +841,6 @@ impl std::fmt::Debug for BackendDevice {
 
 impl BackendDevice {
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        name: impl Into<String>,
-        channel: Arc<VphiChannel>,
-        guest_mem: Arc<GuestMemory>,
-        guest_irq: Arc<IrqChip>,
-        kvm: Arc<KvmModule>,
-        event_loop: Arc<QemuEventLoop>,
-        fabric: Arc<ScifFabric>,
-        boards: Vec<Arc<PhiBoard>>,
-    ) -> Arc<Self> {
-        Self::with_policy(
-            name,
-            channel,
-            guest_mem,
-            guest_irq,
-            kvm,
-            event_loop,
-            fabric,
-            boards,
-            DispatchPolicy::PAPER,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_policy(
-        name: impl Into<String>,
-        channel: Arc<VphiChannel>,
-        guest_mem: Arc<GuestMemory>,
-        guest_irq: Arc<IrqChip>,
-        kvm: Arc<KvmModule>,
-        event_loop: Arc<QemuEventLoop>,
-        fabric: Arc<ScifFabric>,
-        boards: Vec<Arc<PhiBoard>>,
-        policy: DispatchPolicy,
-    ) -> Arc<Self> {
-        Self::with_options(
-            name,
-            channel,
-            guest_mem,
-            guest_irq,
-            kvm,
-            event_loop,
-            fabric,
-            boards,
-            policy,
-            BackendOptions::default(),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
     pub fn with_options(
         name: impl Into<String>,
         channel: Arc<VphiChannel>,
@@ -953,7 +887,6 @@ impl BackendDevice {
                 ),
                 policy,
                 running: AtomicBool::new(false),
-                pipeline_rma: options.pipeline_rma,
                 notifiers,
                 queue_worker_dispatches,
                 windows: TrackedMutex::new(LockClass::BackendWindows, HashMap::new()),

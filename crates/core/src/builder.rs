@@ -41,8 +41,8 @@ pub struct VmConfig {
     /// Host kernel patch state (`Unpatched` reproduces the mmap failure
     /// the paper's KVM patch fixes).
     pub patch: KvmPatch,
-    /// Frontend staging chunk size (`KMALLOC_MAX_SIZE` in the paper;
-    /// swept by ABL-CHUNK).
+    /// Frontend send/recv staging chunk size (`KMALLOC_MAX_SIZE` in the
+    /// paper; swept by ABL-CHUNK).  No RMA request stages through it.
     pub chunk_size: u64,
     /// Backend dispatch policy (paper default: only `scif_accept` on a
     /// worker; ABL-BLOCK sweeps the size-hybrid).
@@ -50,16 +50,13 @@ pub struct VmConfig {
     /// Backend RMA registration cache (disable to reproduce the seed's
     /// per-request translation charge — the Fig. 5 72% ceiling).
     pub reg_cache: crate::backend::RegCacheConfig,
-    /// Pipeline large cold-path RMA staging through double-buffered
-    /// chunks overlapped with device DMA.  Off by default so the
-    /// calibrated figures stay byte-stable; MQ-SCALE turns it on.
-    pub pipeline_rma: bool,
-    /// Zero-copy large RMA: charge RMAs above `KMALLOC_MAX_SIZE` as
-    /// windows pinned into the device aperture and scatter-gathered
-    /// straight between guest memory and the wire, not as staged per-page
-    /// translation (DESIGN.md #19).  A virtual-time cost mode: the bytes
-    /// move once either way.  Off by default so the calibrated figures
-    /// stay byte-stable; ZERO-COPY turns it on.
+    /// The one large-RMA cost switch.  On (mapped): charge RMAs above
+    /// `KMALLOC_MAX_SIZE` as windows pinned into the device aperture and
+    /// scatter-gathered straight between guest memory and the wire.  Off
+    /// (staged, the paper's path): per-page translation (DESIGN.md #19).
+    /// A virtual-time cost mode: the bytes move once either way.  Off by
+    /// default so the calibrated figures stay byte-stable; ZERO-COPY
+    /// turns it on.
     pub zero_copy_rma: bool,
 }
 
@@ -74,7 +71,6 @@ impl Default for VmConfig {
             chunk_size: vphi_sim_core::cost::KMALLOC_MAX_SIZE,
             dispatch: crate::backend::DispatchPolicy::PAPER,
             reg_cache: crate::backend::RegCacheConfig::default(),
-            pipeline_rma: false,
             zero_copy_rma: false,
         }
     }
@@ -82,10 +78,11 @@ impl Default for VmConfig {
 
 impl VmConfig {
     /// Start from the paper defaults and override selectively; the
-    /// builder's [`build`](VmConfigBuilder::build) validates the combined
-    /// result, so impossible topologies (zero lanes, non-power-of-two
-    /// rings, a polling guest under pipelined RMA) fail at construction
-    /// instead of as a hang or a skewed figure later.
+    /// builder's [`build`](VmConfigBuilder::build) validates each field,
+    /// so impossible topologies (zero lanes, non-power-of-two rings, a
+    /// staging chunk kmalloc cannot allocate) fail at construction
+    /// instead of as a hang or a panic later.  Every field is checked on
+    /// its own: no combination of valid fields is rejected.
     pub fn builder() -> VmConfigBuilder {
         VmConfigBuilder { config: VmConfig::default() }
     }
@@ -138,11 +135,6 @@ impl VmConfigBuilder {
         self
     }
 
-    pub fn pipeline_rma(mut self, on: bool) -> Self {
-        self.config.pipeline_rma = on;
-        self
-    }
-
     pub fn zero_copy_rma(mut self, on: bool) -> Self {
         self.config.zero_copy_rma = on;
         self
@@ -160,38 +152,12 @@ impl VmConfigBuilder {
                 c.queue_size
             ));
         }
-        if c.chunk_size == 0 || !c.chunk_size.is_multiple_of(4096) {
-            return Err(format!(
-                "chunk_size must be a positive multiple of the 4 KiB page size, got {}",
-                c.chunk_size
-            ));
-        }
+        crate::frontend::check_chunk_size(c.chunk_size)?;
         if c.mem_size < 16 * MIB {
             return Err(format!(
                 "mem_size must be at least 16 MiB (header slabs + staging), got {}",
                 c.mem_size
             ));
-        }
-        if c.pipeline_rma && c.scheme == WaitScheme::Polling {
-            return Err(
-                "pipeline_rma with WaitScheme::Polling is rejected: the pipeline overlaps \
-                 staging with DMA behind an interrupt-driven completion, while a pure-polling \
-                 guest burns its vCPU through the whole overlap — the combination measures \
-                 neither configuration faithfully"
-                    .into(),
-            );
-        }
-        if c.zero_copy_rma && c.chunk_size != vphi_sim_core::cost::KMALLOC_MAX_SIZE {
-            return Err("zero_copy_rma with a non-default chunk_size is rejected: the zero-copy \
-                 path never stages, so a tuned staging chunk cannot take effect — the \
-                 sweep would silently measure the default configuration instead"
-                .into());
-        }
-        if c.zero_copy_rma && c.pipeline_rma {
-            return Err("zero_copy_rma with pipeline_rma is rejected: the pipeline overlaps the \
-                 very staging copy zero-copy deletes — enable exactly one large-RMA \
-                 optimization per VM"
-                .into());
         }
         Ok(self.config)
     }
@@ -399,7 +365,6 @@ impl VphiHost {
             config.dispatch,
             crate::backend::BackendOptions {
                 reg_cache: config.reg_cache,
-                pipeline_rma: config.pipeline_rma,
                 zero_copy_rma: config.zero_copy_rma,
             },
         );
@@ -470,6 +435,7 @@ impl VphiVm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vphi_sim_core::cost::KMALLOC_MAX_SIZE;
 
     #[test]
     fn builder_defaults_match_config_default() {
@@ -480,7 +446,6 @@ mod tests {
         assert_eq!(built.queue_size, def.queue_size);
         assert_eq!(built.num_queues, def.num_queues);
         assert_eq!(built.chunk_size, def.chunk_size);
-        assert_eq!(built.pipeline_rma, def.pipeline_rma);
         assert_eq!(built.zero_copy_rma, def.zero_copy_rma);
         assert!(!def.zero_copy_rma, "zero-copy defaults off: anchors stay byte-stable");
     }
@@ -492,43 +457,18 @@ mod tests {
         assert!(VmConfig::builder().queue_size(100).try_build().is_err());
         assert!(VmConfig::builder().chunk_size(0).try_build().is_err());
         assert!(VmConfig::builder().chunk_size(4097).try_build().is_err());
+        // kmalloc cannot stage more than KMALLOC_MAX_SIZE contiguous bytes:
+        // the builder rejects what the frontend would panic on.
+        assert!(VmConfig::builder().chunk_size(8 * MIB).try_build().is_err());
+        assert!(VmConfig::builder().chunk_size(KMALLOC_MAX_SIZE).try_build().is_ok());
         assert!(VmConfig::builder().mem_size(MIB).try_build().is_err());
+        // The individually-valid pieces still compose: no combination of
+        // valid fields is rejected.
         assert!(VmConfig::builder()
-            .pipeline_rma(true)
             .scheme(WaitScheme::Polling)
-            .try_build()
-            .is_err());
-        // The individually-valid pieces still compose.
-        assert!(VmConfig::builder()
-            .pipeline_rma(true)
-            .scheme(WaitScheme::Interrupt)
             .num_queues(8)
             .queue_size(128)
-            .try_build()
-            .is_ok());
-    }
-
-    #[test]
-    fn builder_rejects_zero_copy_with_staging_knobs() {
-        // Pinned message: sweeps match on it to explain skipped points.
-        let err =
-            VmConfig::builder().zero_copy_rma(true).chunk_size(64 * 4096).try_build().unwrap_err();
-        assert_eq!(
-            err,
-            "zero_copy_rma with a non-default chunk_size is rejected: the zero-copy \
-             path never stages, so a tuned staging chunk cannot take effect — the \
-             sweep would silently measure the default configuration instead"
-        );
-        let err = VmConfig::builder().zero_copy_rma(true).pipeline_rma(true).try_build();
-        assert!(err.unwrap_err().contains("exactly one large-RMA optimization"));
-        // Alone, the flag composes with everything else.
-        assert!(VmConfig::builder()
-            .zero_copy_rma(true)
-            .num_queues(8)
-            .queue_size(128)
-            .try_build()
-            .is_ok());
-        assert!(VmConfig::builder()
+            .chunk_size(MIB)
             .zero_copy_rma(true)
             .reg_cache(crate::backend::RegCacheConfig::disabled())
             .try_build()

@@ -404,6 +404,24 @@ pub struct ReapedOp {
     pub data: Option<Vec<u8>>,
 }
 
+/// Check a send/recv staging chunk size: a positive multiple of the
+/// page size, at most `KMALLOC_MAX_SIZE` (the guest kernel cannot
+/// allocate a larger contiguous buffer).  The one owner of this rule:
+/// the VM builder rejects what [`FrontendDriver::insert_with_chunk`]
+/// would panic on.
+pub fn check_chunk_size(chunk_size: u64) -> Result<(), String> {
+    if chunk_size == 0
+        || chunk_size > KMALLOC_MAX_SIZE
+        || !chunk_size.is_multiple_of(vphi_sim_core::cost::PAGE_SIZE)
+    {
+        return Err(format!(
+            "chunk_size must be a positive multiple of the 4 KiB page size and at most \
+             KMALLOC_MAX_SIZE ({KMALLOC_MAX_SIZE}), got {chunk_size}"
+        ));
+    }
+    Ok(())
+}
+
 /// The guest kernel module.
 pub struct FrontendDriver {
     kernel: Arc<GuestKernel>,
@@ -447,21 +465,16 @@ impl FrontendDriver {
     }
 
     /// Like [`insert`](FrontendDriver::insert) with an explicit staging
-    /// chunk size (must be a positive multiple of a page and at most
-    /// `KMALLOC_MAX_SIZE` — the kernel cannot allocate larger contiguous
-    /// buffers).
+    /// chunk size; panics on one [`check_chunk_size`] rejects.
     pub fn insert_with_chunk(
         kernel: Arc<GuestKernel>,
         channel: Arc<VphiChannel>,
         scheme: WaitScheme,
         chunk_size: u64,
     ) -> Arc<Self> {
-        assert!(
-            chunk_size > 0
-                && chunk_size <= KMALLOC_MAX_SIZE
-                && chunk_size.is_multiple_of(vphi_sim_core::cost::PAGE_SIZE),
-            "invalid staging chunk size {chunk_size}"
-        );
+        if let Err(why) = check_chunk_size(chunk_size) {
+            panic!("{why}");
+        }
         // Preallocate the header slab (module-init cost, not charged to
         // any request).
         let mut init_tl = Timeline::new();

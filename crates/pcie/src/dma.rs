@@ -205,43 +205,6 @@ impl DmaEngine {
     }
 }
 
-/// Makespan of a two-stage, double-buffered chunk pipeline.
-///
-/// Large RMA transfers are split into chunks; each chunk is first *staged*
-/// (pinned/translated and bounce-copied, time `s_i`) and then moved by a
-/// DMA channel (time `d_i`).  With two staging buffers, the engine stages
-/// chunk `i+1` while chunk `i` is on the wire, so staging cost hides behind
-/// DMA time instead of serializing with it.  The recurrence mirrors the
-/// MPSS driver's ping-pong descriptor rings:
-///
-/// ```text
-/// stage[i] = max(stage[i-1], dma[i-2]) + s_i   // buffer reuse: 2 in flight
-/// dma[i]   = max(dma[i-1],   stage[i]) + d_i   // the link is serial
-/// ```
-///
-/// Returns `dma[n-1]`, the virtual time until the last chunk leaves the
-/// wire.  An empty slice is zero; a single chunk degenerates to `s_0 + d_0`
-/// (no overlap possible).
-pub fn double_buffered_makespan(
-    chunks: &[(vphi_sim_core::SimDuration, vphi_sim_core::SimDuration)],
-) -> vphi_sim_core::SimDuration {
-    use vphi_sim_core::SimDuration;
-    // dma_done[i % 2] holds dma[i-2] when chunk i starts staging: the chunk
-    // two back used the same ping-pong buffer.
-    let mut dma_done = [SimDuration::ZERO; 2];
-    let mut last_stage = SimDuration::ZERO;
-    let mut last_dma = SimDuration::ZERO;
-    for (i, &(s, d)) in chunks.iter().enumerate() {
-        let buffer_free = if i >= 2 { dma_done[i % 2] } else { SimDuration::ZERO };
-        let stage = last_stage.max(buffer_free) + s;
-        let dma = last_dma.max(stage) + d;
-        dma_done[i % 2] = dma;
-        last_stage = stage;
-        last_dma = dma;
-    }
-    last_dma
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,47 +259,6 @@ mod tests {
         e.transfer_timed(900, &mut tl);
         assert_eq!(e.bytes_total(), 1_000);
         assert_eq!(e.transfer_count(), 2);
-    }
-
-    #[test]
-    fn makespan_degenerate_cases() {
-        use vphi_sim_core::SimDuration;
-        let us = SimDuration::from_micros;
-        assert_eq!(double_buffered_makespan(&[]), SimDuration::ZERO);
-        // One chunk: staging and DMA serialize — no overlap possible.
-        assert_eq!(double_buffered_makespan(&[(us(3), us(10))]), us(13));
-    }
-
-    #[test]
-    fn makespan_hides_staging_behind_dma() {
-        use vphi_sim_core::SimDuration;
-        let us = SimDuration::from_micros;
-        // 4 chunks, staging 3 µs each, DMA 10 µs each.  Monolithic staging
-        // would cost 4*3 + 4*10 = 52 µs; double-buffered only the first
-        // staging is exposed: 3 + 40 = 43 µs.
-        let chunks = [(us(3), us(10)); 4];
-        assert_eq!(double_buffered_makespan(&chunks), us(43));
-        // Staging-bound pipeline: DMA hides behind staging instead.
-        // stage finishes at 4*10 = 40, last DMA tacks on 3 µs.
-        let chunks = [(us(10), us(3)); 4];
-        assert_eq!(double_buffered_makespan(&chunks), us(43));
-    }
-
-    #[test]
-    fn makespan_respects_two_buffer_limit() {
-        use vphi_sim_core::SimDuration;
-        let us = SimDuration::from_micros;
-        // Staging is instant, DMA slow: with unlimited buffers all staging
-        // would finish at t=1*n, but with two bounce buffers chunk i can't
-        // stage before chunk i-2's DMA frees its buffer.  The wire is the
-        // bottleneck either way: makespan = s_0 + sum(d).
-        let chunks = [(us(1), us(100)); 8];
-        assert_eq!(double_buffered_makespan(&chunks), us(801));
-        // Never better than the wire alone, never worse than full serial.
-        let wire: SimDuration = us(800);
-        let serial = us(808);
-        let got = double_buffered_makespan(&chunks);
-        assert!(got >= wire && got <= serial);
     }
 
     #[test]

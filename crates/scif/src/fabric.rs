@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use vphi_faults::FaultSite;
 use vphi_phi::PhiBoard;
-use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
+use vphi_sim_core::{CostModel, SpanLabel, Timeline, VirtualClock};
 use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex, TrackedRwLock};
 
 use crate::endpoint::EndpointCore;
@@ -199,30 +199,6 @@ impl FabricShared {
     /// state outside the normal message flow.
     pub fn bump_activity(&self) {
         self.activity.bump();
-    }
-
-    /// Staging time a chunked, double-buffered RMA pipeline exposes on
-    /// the critical path for a `bytes` transfer split into `chunk_bytes`
-    /// pieces.
-    ///
-    /// The transfer itself still charges the full wire time; what
-    /// pipelining buys is hiding every chunk's pin/translate staging —
-    /// except the first, which nothing can overlap — behind earlier
-    /// chunks' DMA.  Returns the exposed remainder:
-    /// `makespan − Σ(link time)`, which degenerates to the full staging
-    /// sum for a single chunk (no overlap possible) and never goes below
-    /// the first chunk's staging cost.
-    pub fn rma_pipeline_exposure(&self, bytes: u64, chunk_bytes: u64) -> SimDuration {
-        assert!(chunk_bytes > 0, "pipeline chunk size must be positive");
-        let mut chunks = Vec::new();
-        let mut remaining = bytes;
-        while remaining > 0 {
-            let take = remaining.min(chunk_bytes);
-            chunks.push((self.cost.translate_pages(take), self.cost.link_transfer(take)));
-            remaining -= take;
-        }
-        let wire: SimDuration = chunks.iter().map(|&(_, d)| d).sum();
-        vphi_pcie::dma::double_buffered_makespan(&chunks) - wire
     }
 
     /// Traffic gate: a board that hits (or already hit) a fatal fault
@@ -426,25 +402,6 @@ mod tests {
         board.boot();
         let node = fabric.add_device(board);
         (fabric, node)
-    }
-
-    #[test]
-    fn pipeline_exposure_hides_all_but_the_first_chunk_staging() {
-        let (fabric, _) = fabric_with_device();
-        let shared = fabric.shared();
-        let cost = &shared.cost;
-        let chunk = vphi_sim_core::cost::KMALLOC_MAX_SIZE;
-        // One chunk: no overlap possible — the whole staging is exposed.
-        assert_eq!(shared.rma_pipeline_exposure(chunk, chunk), cost.translate_pages(chunk));
-        // Staging-bound below DMA time per chunk (translate ≈ 0.39× link
-        // in the calibrated preset), so for a 64 MiB transfer only the
-        // first chunk's staging is exposed.
-        let bytes = 64 * vphi_sim_core::units::MIB;
-        let exposure = shared.rma_pipeline_exposure(bytes, chunk);
-        assert_eq!(exposure, cost.translate_pages(chunk));
-        // Pipelining strictly beats monolithic staging for multi-chunk
-        // transfers and never exposes less than one chunk's staging.
-        assert!(exposure < cost.translate_pages(bytes));
     }
 
     #[test]

@@ -205,11 +205,6 @@ impl CostModel {
         self.page_translate * bytes.div_ceil(PAGE_SIZE).max(1)
     }
 
-    /// Number of `KMALLOC_MAX_SIZE` staging chunks needed for `bytes`.
-    pub fn chunks_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(KMALLOC_MAX_SIZE).max(1)
-    }
-
     /// Number of huge pages (and SG descriptors) covering `bytes`.
     pub fn huge_pages_for(&self, bytes: u64) -> u64 {
         bytes.div_ceil(HUGE_PAGE_SIZE).max(1)
@@ -296,16 +291,6 @@ mod tests {
         let one = m.link_transfer(1 << 20);
         let four = m.link_transfer(4 << 20);
         assert!((four.as_nanos() as f64 / one.as_nanos() as f64 - 4.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn chunk_count() {
-        let m = CostModel::paper_calibrated();
-        assert_eq!(m.chunks_for(0), 1);
-        assert_eq!(m.chunks_for(1), 1);
-        assert_eq!(m.chunks_for(KMALLOC_MAX_SIZE), 1);
-        assert_eq!(m.chunks_for(KMALLOC_MAX_SIZE + 1), 2);
-        assert_eq!(m.chunks_for(10 * KMALLOC_MAX_SIZE), 10);
     }
 
     #[test]

@@ -393,3 +393,70 @@ fn rma_moves_exact_bytes_on_staged_and_mapped_paths() {
     device.join().unwrap();
     assert_eq!(vphi_sync::audit::violation_count(), 0, "lock-order violations detected");
 }
+
+#[test]
+fn mapped_rma_composes_with_a_tuned_send_chunk() {
+    // `chunk_size` sizes only send/recv staging and `zero_copy_rma` only
+    // the large-RMA cost mode, so the two compose: a multi-chunk
+    // send/recv round trip and a mapped-arm remote read on one VM.
+    const WIN: u64 = 8 * MIB;
+    const MSG: usize = 3 * MIB as usize + 5;
+    let host = VphiHost::new(1);
+    let board = std::sync::Arc::clone(host.board(0));
+    let server = host.device_endpoint(0).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let device = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        server.bind(Port(977), &mut tl).unwrap();
+        server.listen(2, &mut tl).unwrap();
+        tx.send(()).unwrap();
+        let conn = server.accept(&mut tl).unwrap();
+        let region = board.memory().alloc(WIN).unwrap();
+        let pattern: Vec<u8> = (0..WIN).map(|i| (i % 239) as u8).collect();
+        region.write(0, &pattern).unwrap();
+        conn.register(Some(0), WIN, Prot::READ_WRITE, WindowBacking::Device(region), &mut tl)
+            .unwrap();
+        conn.core().send(&[1], &mut tl).unwrap(); // window ready
+        let mut msg = vec![0u8; MSG];
+        assert_eq!(conn.core().recv(&mut msg, &mut tl), Ok(MSG));
+        conn.core().send(&msg, &mut tl).unwrap();
+        let mut fin = [0u8; 1];
+        let _ = conn.core().recv(&mut fin, &mut tl);
+    });
+    rx.recv().unwrap();
+
+    let vm = host.spawn_vm(
+        VmConfig::builder().mem_size(64 * MIB).zero_copy_rma(true).chunk_size(MIB).build(),
+    );
+    let mut tl = Timeline::new();
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(ScifAddr::new(host.device_node(0), Port(977)), &mut tl).unwrap();
+    let mut ready = [0u8; 1];
+    ep.recv(&mut ready, &mut tl).unwrap();
+
+    let mut data = vec![0u8; MSG];
+    vphi_sim_core::SplitMix64::new(77).fill_bytes(&mut data);
+    let before = vphi::debugfs::VphiDebugReport::collect(&vm);
+    ep.send(&data, &mut tl).unwrap();
+    let after = vphi::debugfs::VphiDebugReport::collect(&vm);
+    assert_eq!(after.chunks_staged - before.chunks_staged, 4, "3 MiB + 5 B in 1 MiB chunks");
+    let mut back = vec![0u8; MSG];
+    ep.recv(&mut back, &mut tl).unwrap();
+    assert_eq!(back, data, "send/recv round trip corrupted");
+
+    let (len, roffset) = (5 * MIB, 13u64);
+    let buf = vm.alloc_buf(len).unwrap();
+    ep.vreadfrom(&buf, roffset, RmaFlags::SYNC, &mut tl).unwrap();
+    let mut got = vec![0u8; len as usize];
+    buf.peek(0, &mut got).unwrap();
+    let want: Vec<u8> = (roffset..roffset + len).map(|i| (i % 239) as u8).collect();
+    assert_eq!(got, want, "mapped vreadfrom of {len} bytes at {roffset}");
+    let report = vphi::debugfs::VphiDebugReport::collect(&vm);
+    assert!(report.windows_mapped + report.map_hits > 0, "the 5 MiB read took the mapped arm");
+
+    ep.send(&[0], &mut tl).unwrap();
+    ep.close(&mut tl).unwrap();
+    vm.shutdown();
+    device.join().unwrap();
+    assert_eq!(vphi_sync::audit::violation_count(), 0, "lock-order violations detected");
+}
